@@ -1,16 +1,16 @@
 """GP inference-engine performance: compiled vs interpreted, serial vs
-parallel backends, cold vs warm formula memo.
+the persistent process pool, cold vs warm formula memo.
 
 The perf features are exactness-preserving (compiled evaluation applies
 the same primitives in the same order; the fitness cache returns the float
-the evaluation produced; worker pools only reorder independent per-ESV
-work and merge in slot order; the memo replays the exact stored result),
+the evaluation produced; the process pool only reorders independent
+per-ESV work and merges in slot order; the memo replays the exact stored result),
 so this bench *asserts* result identity and *reports* the measured
 speedups — wall-clock ratios vary with the machine, the correctness
 contract does not.
 
 Set ``GP_PERF_QUICK=1`` (the CI smoke mode) to run a reduced case set at a
-small GP budget with 2-worker pools.  Timing *assertions* (the >=2.5x
+small GP budget with a 2-worker pool.  Timing *assertions* (the >=2x
 process-pool target, the warm-memo floor) additionally require
 ``GP_PERF_ASSERT_TIMING=1``: they are only meaningful on a multi-core,
 lightly loaded host, so CI opts in explicitly instead of flaking.
@@ -26,7 +26,7 @@ from repro.core.response_analysis import infer_formula
 QUICK = bool(os.environ.get("GP_PERF_QUICK"))
 ASSERT_TIMING = bool(os.environ.get("GP_PERF_ASSERT_TIMING"))
 
-#: Pool width for the backend comparison (kept small in CI smoke mode).
+#: Pool width for the serial-vs-pool comparison (kept small in CI smoke mode).
 WORKERS = 2 if QUICK else 4
 
 #: Timing rounds per engine; the minimum total is reported, which filters
@@ -77,7 +77,7 @@ def _time_engine(cases, config):
 
 #: Knobs that shape every artifact this module writes (the comparer flags
 #: artifacts produced under a different fingerprint as non-comparable).
-#: ``cpu_count`` is part of the fingerprint because every parallel-backend
+#: ``cpu_count`` is part of the fingerprint because the serial-vs-pool
 #: ratio below is meaningless to compare across hosts with different core
 #: counts.
 BENCH_CONFIG = {
@@ -136,100 +136,58 @@ def test_compiled_vs_interpreted(benchmark, report_file, bench_artifact, fleet):
 
 
 def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
-    from repro.core.gp.islands import shared_pool
+    from repro.core.reverser import warm_gp_pool
 
     context = fleet.context("K")
 
-    def reverse(workers, backend, batch=False):
+    def reverse(workers, backend):
         reverser = DPReverser(
-            ReverserConfig(
-                gp_config=FAST,
-                gp_workers=workers,
-                gp_backend=backend,
-                gp_batch=batch,
-            )
+            ReverserConfig(gp_config=FAST, gp_workers=workers, gp_backend=backend)
         )
         start = time.perf_counter()
         report = reverser.infer(context)
         return time.perf_counter() - start, report
 
-    # The island pool persists across infer calls by design, so its spawn
-    # and warm-up cost belongs outside the timed region — a fleet or
-    # service run pays it once, not per capture.
-    shared_pool(WORKERS).warm()
+    # The GP pool persists across infer calls by design, so its spawn and
+    # warm-up cost belongs outside the timed region — a fleet or service
+    # run pays it once, not per capture.
+    warm_gp_pool(WORKERS)
 
     def run():
-        timings = {}
-        reports = {}
-        for name, backend, workers, batch in (
-            ("serial", "serial", 1, False),
-            ("batch", "serial", 1, True),
-            ("thread", "thread", WORKERS, False),
-            ("process_per_esv", "process", WORKERS, False),
-            ("island", "island", WORKERS, False),
-        ):
-            timings[name], reports[name] = reverse(workers, backend, batch)
-        return timings, reports
+        serial = reverse(1, "serial")
+        pool = reverse(WORKERS, "process")
+        return serial, pool
 
-    timings, reports = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    serial_report = reports["serial"]
-    for name in ("batch", "thread", "process_per_esv", "island"):
-        assert serial_report.to_dict() == reports[name].to_dict(), name
+    (serial_s, serial_report), (pool_s, pool_report) = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    assert serial_report.to_dict() == pool_report.to_dict()
 
     n = len(serial_report.formula_esvs)
-    batch_x = timings["serial"] / timings["batch"]
-    thread_x = timings["serial"] / timings["thread"]
-    per_esv_x = timings["serial"] / timings["process_per_esv"]
-    island_x = timings["serial"] / timings["island"]
+    pool_x = serial_s / pool_s
     report_file(
         f"Per-ESV inference backends (car K, {n} formula ESVs, "
         f"{WORKERS} workers{', quick mode' if QUICK else ''}):"
     )
-    report_file(f"  serial:                {timings['serial']:6.2f} s")
+    report_file(f"  serial:                  {serial_s:6.2f} s")
     report_file(
-        f"  serial + cross-ESV batch: {timings['batch']:6.2f} s = {batch_x:.2f}x"
+        f"  persistent process pool: {pool_s:6.2f} s = {pool_x:.2f}x "
+        f"(scales with physical cores; this host has {os.cpu_count()})"
     )
-    report_file(
-        f"  thread pool:           {timings['thread']:6.2f} s = {thread_x:.2f}x "
-        "(GIL-bound evolution limits scaling)"
-    )
-    report_file(
-        f"  process, task per ESV: {timings['process_per_esv']:6.2f} s = "
-        f"{per_esv_x:.2f}x (pays pool spawn + per-task dataset pickling)"
-    )
-    report_file(
-        f"  island (persistent workers + shm datasets): {timings['island']:6.2f} s "
-        f"= {island_x:.2f}x (scales with physical cores; this host has "
-        f"{os.cpu_count()})"
-    )
-    report_file("  identical report asserted on every backend")
+    report_file("  identical report asserted on both backends")
     bench_artifact(
         {
             "backend_formula_esvs": n,
-            "serial_s": round(timings["serial"], 3),
-            "batch_s": round(timings["batch"], 3),
-            "thread_s": round(timings["thread"], 3),
-            "process_per_esv_s": round(timings["process_per_esv"], 3),
-            "island_s": round(timings["island"], 3),
-            "batch_speedup": round(batch_x, 3),
-            "thread_speedup": round(thread_x, 3),
-            "process_per_esv_speedup": round(per_esv_x, 3),
+            "serial_s": round(serial_s, 3),
+            "process_s": round(pool_s, 3),
             # The headline process-parallelism number CI floors on: the
-            # island backend (persistent workers, batched islands, shm
-            # datasets) against serial.
-            "process_speedup": round(island_x, 3),
+            # warmed persistent GP pool against serial.
+            "process_speedup": round(pool_x, 3),
         },
         {
             "backend_formula_esvs": "count",
             "serial_s": "s",
-            "batch_s": "s",
-            "thread_s": "s",
-            "process_per_esv_s": "s",
-            "island_s": "s",
-            "batch_speedup": "x",
-            "thread_speedup": "x",
-            "process_per_esv_speedup": "x",
+            "process_s": "s",
             "process_speedup": "x",
         },
         config=BENCH_CONFIG,
@@ -242,8 +200,8 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
                 "beat serial without cores to scale onto"
             )
         else:
-            assert island_x >= 2.0, (
-                f"island backend only {island_x:.2f}x over serial "
+            assert pool_x >= 2.0, (
+                f"process pool only {pool_x:.2f}x over serial "
                 f"(GP_PERF_ASSERT_TIMING demands >=2.0x at {WORKERS} workers)"
             )
 
@@ -275,8 +233,8 @@ def test_memo_cold_vs_warm(benchmark, report_file, bench_artifact, fleet, tmp_pa
     # solved exactly once (cold) then recalled without GP (warm).
     assert cold_report.to_dict() == baseline.to_dict()
     assert warm_report.to_dict() == baseline.to_dict()
-    assert cold_stats == {"hits": 0, "misses": n}
-    assert warm_stats == {"hits": n, "misses": 0}
+    assert cold_stats == {"hits": 0, "misses": n, "gp.misses": n}
+    assert warm_stats == {"hits": n, "misses": 0, "gp.hits": n}
     assert warm_s < cold_s, "warm memo run should never be slower than cold"
 
     report_file(

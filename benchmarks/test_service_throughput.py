@@ -225,7 +225,6 @@ class TestServiceThroughput:
         shards = 2
         config = ServiceConfig(
             gp_config=GP,
-            gp_backend="serial",  # each shard is already its own process
             analysis_workers=1,
             gp_memo_dir=str(tmp_path / "memo"),
         )

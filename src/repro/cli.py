@@ -22,35 +22,11 @@ import time
 from pathlib import Path
 
 
-def _add_gp_batch_args(
-    parser: argparse.ArgumentParser, batch_default: bool = False
-) -> None:
-    """The shared ``--gp-batch`` / ``--gp-islands`` flags."""
-    parser.add_argument(
-        "--gp-batch",
-        action=argparse.BooleanOptionalAction,
-        default=batch_default,
-        help="merge same-shape GP fitness evaluations across ESVs into "
-        "single batched matrix passes (bit-identical results)",
-    )
-    parser.add_argument(
-        "--gp-islands",
-        type=int,
-        metavar="N",
-        default=0,
-        help="shorthand for --gp-backend island --gp-workers N: N "
-        "persistent island workers, each evolving its slice of the ESVs "
-        "in one batched pass, reading datasets from shared memory",
-    )
-
-
 def _add_formula_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--formula-backend`` flag.
-
-    Deliberately distinct from ``--gp-backend``: this picks *what solver*
-    recovers each formula (GP search, closed-form least squares, or
-    linear-first-GP-fallback), while ``--gp-backend`` picks *where* GP
-    fitness evaluations execute (serial/thread/process/island).
+    """The shared ``--formula-backend`` flag: *what solver* recovers each
+    formula (GP search, closed-form least squares, or linear-first with a
+    GP fallback), independent of ``--gp-workers``, which picks *where* GP
+    runs (in-process, or the GP process pool).
     """
     parser.add_argument(
         "--formula-backend",
@@ -59,17 +35,8 @@ def _add_formula_backend_arg(parser: argparse.ArgumentParser) -> None:
         help="formula-inference backend: 'gp' is the paper's genetic "
         "search, 'linear' a closed-form least-squares dictionary (exact "
         "fits only), 'hybrid' tries linear first and falls back to GP "
-        "for the hard tail (same formulas as gp, much faster); distinct "
-        "from --gp-backend, which picks where GP evaluations *execute*",
+        "for the hard tail (same formulas as gp, much faster)",
     )
-
-
-def _resolve_gp_flags(args: argparse.Namespace) -> None:
-    """Expand the ``--gp-islands`` shorthand onto backend and workers."""
-    islands = getattr(args, "gp_islands", 0)
-    if islands:
-        args.gp_backend = "island"
-        args.gp_workers = max(getattr(args, "gp_workers", 1), islands)
 
 
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
@@ -170,14 +137,11 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
         print(f"bad --noise-profile: {error}", file=sys.stderr)
         return 2
     capture = load_capture(args.capture)
-    _resolve_gp_flags(args)
     tracer = Tracer() if _observability_requested(args) else None
     start = time.perf_counter()
     config = ReverserConfig(
         gp_config=GpConfig(seed=args.seed, compiled=args.gp_compiled),
         gp_workers=args.gp_workers,
-        gp_backend=args.gp_backend,
-        gp_batch=args.gp_batch,
         gp_memo_dir=args.gp_memo,
         formula_backend=args.formula_backend,
         noise=noise,
@@ -292,7 +256,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"bad --noise-profile: {error}", file=sys.stderr)
         return 2
-    _resolve_gp_flags(args)
     tracer = Tracer() if _observability_requested(args) else None
     try:
         specs = fleet_job_specs(
@@ -300,8 +263,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             read_duration_s=args.duration,
             gp_workers=args.gp_workers,
-            gp_backend=args.gp_backend,
-            gp_batch=args.gp_batch,
             gp_memo_dir=args.gp_memo,
             formula_backend=args.formula_backend,
             noise_spec=noise_spec,
@@ -355,7 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core import GpConfig
     from .service import DiagnosticServer, ServiceConfig
 
-    _resolve_gp_flags(args)
     # `kill <pid>` must drain like Ctrl-C: route SIGTERM through the same
     # KeyboardInterrupt path so shards stop cleanly and --metrics-out /
     # --trace-out still emit (the default handler would skip the finally).
@@ -374,8 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         analysis_workers=args.analysis_workers,
         gp_config=GpConfig(seed=args.seed),
         gp_workers=args.gp_workers,
-        gp_backend=args.gp_backend,
-        gp_batch=args.gp_batch,
         gp_memo_dir=args.gp_memo,
         formula_backend=args.formula_backend,
         trace=_observability_requested(args),
@@ -495,20 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gp-workers",
         type=int,
         default=1,
-        help="workers for per-ESV formula inference (identical results)",
-    )
-    reverse.add_argument(
-        "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
-        default="auto",
-        help="per-ESV GP *execution* backend (where fitness evaluations "
-        "run, not which solver — see --formula-backend); auto uses a "
-        "process pool when --gp-workers > 1, island keeps persistent "
-        "workers fed over shared memory (results are identical on every "
-        "backend)",
+        help="workers for per-ESV formula inference; above 1 the ESVs run "
+        "on a process pool (identical results)",
     )
     _add_formula_backend_arg(reverse)
-    _add_gp_batch_args(reverse)
     reverse.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -584,19 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gp-workers",
         type=int,
         default=1,
-        help="per-ESV inference workers inside each job (identical results)",
-    )
-    fleet_run.add_argument(
-        "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
-        default="auto",
-        help="per-ESV GP *execution* backend inside each job (where "
-        "fitness evaluations run — see --formula-backend for the solver); "
-        "auto uses a process pool when --gp-workers > 1, island keeps "
-        "persistent workers fed over shared memory",
+        help="per-ESV inference workers inside each job; above 1 the ESVs "
+        "run on a process pool (identical results)",
     )
     _add_formula_backend_arg(fleet_run)
-    _add_gp_batch_args(fleet_run)
     fleet_run.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -660,18 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gp-workers",
         type=int,
         default=1,
-        help="workers for per-ESV formula inference (identical results)",
-    )
-    serve.add_argument(
-        "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
-        default="auto",
-        help="per-ESV GP *execution* backend for finalize (where fitness "
-        "evaluations run — see --formula-backend for the solver); auto "
-        "resolves to island (persistent workers, shared-memory datasets)",
+        help="workers of the GP process pool every session's formula "
+        "inference runs on (identical results)",
     )
     _add_formula_backend_arg(serve)
-    _add_gp_batch_args(serve, batch_default=True)
     serve.add_argument(
         "--gp-memo",
         metavar="DIR",

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import TRIM_FRACTION, MaesRequest, batched_linear_fit, batched_maes, drive
+from .batch import TRIM_FRACTION, batched_maes
 from .cache import FitnessCache
 from .compile import CompiledProgram, compile_tree
 from .functions import DEFAULT_FUNCTION_NAMES
@@ -255,15 +255,6 @@ class GeneticProgrammer:
         columns: List[np.ndarray],
         y: np.ndarray,
     ) -> Tuple[List[float], List[int]]:
-        """In-process driver for :meth:`_evaluate_population_steps`."""
-        return drive(self._evaluate_population_steps(population, columns, y))
-
-    def _evaluate_population_steps(
-        self,
-        population: List[Node],
-        columns: List[np.ndarray],
-        y: np.ndarray,
-    ):
         """Fitness and size for every tree in one batch.
 
         The compiled path flattens each tree once (yielding its size for
@@ -276,11 +267,6 @@ class GeneticProgrammer:
         per-row).  When ``subsample_size`` is on, candidates are scored on
         an evenly spaced subsample first and only the top
         ``subsample_top`` fraction is re-scored on the full dataset.
-
-        A generator: the actual matrix math happens wherever the yielded
-        :class:`MaesRequest`\\ s are answered — in-process via
-        :func:`repro.core.gp.batch.drive`, or merged across ESVs by a
-        :class:`~repro.core.gp.batch.BatchEvaluator`.
         """
         config = self.config
         if not config.compiled:
@@ -293,21 +279,16 @@ class GeneticProgrammer:
             indices = np.linspace(0, n - 1, config.subsample_size).astype(int)
             sub_columns = [column[indices] for column in columns]
             sub_y = y[indices]
-            sub_maes = yield from self._batched_fitness_steps(
-                programs, sub_columns, sub_y, "sub"
-            )
+            sub_maes = self._batched_fitness(programs, sub_columns, sub_y, "sub")
             promoted = int(np.ceil(len(programs) * config.subsample_top))
             order = np.argsort(sub_maes, kind="stable")[: max(1, promoted)]
             chosen = [programs[index] for index in order]
-            full_maes = yield from self._batched_fitness_steps(
-                chosen, columns, y, "full"
-            )
+            full_maes = self._batched_fitness(chosen, columns, y, "full")
             maes = list(sub_maes)
             for index, mae in zip(order, full_maes):
                 maes[index] = mae
             return maes, sizes
-        maes = yield from self._batched_fitness_steps(programs, columns, y, "full")
-        return maes, sizes
+        return self._batched_fitness(programs, columns, y, "full"), sizes
 
     def _batched_fitness(
         self,
@@ -316,22 +297,9 @@ class GeneticProgrammer:
         y: np.ndarray,
         tag: str,
     ) -> List[float]:
-        """In-process driver for :meth:`_batched_fitness_steps`."""
-        return drive(self._batched_fitness_steps(programs, columns, y, tag))
-
-    def _batched_fitness_steps(
-        self,
-        programs: List[CompiledProgram],
-        columns: List[np.ndarray],
-        y: np.ndarray,
-        tag: str,
-    ):
-        """Cache-aware batched fitness for a list of compiled programs.
-
-        Generator: program execution (the interpreter loop) runs inline,
-        the fitness math is requested through one yielded
-        :class:`MaesRequest` per call.
-        """
+        """Cache-aware batched fitness for a list of compiled programs:
+        every cache miss executes once, then one :func:`batched_maes`
+        pass scores them all."""
         cache = self._cache
         maes: List[Optional[float]] = [None] * len(programs)
         pending: List[Tuple[Tuple, List[int]]] = []
@@ -373,7 +341,7 @@ class GeneticProgrammer:
                 matrix = np.empty((len(live), y.shape[0]))
                 for offset, slot in enumerate(live):
                     matrix[offset] = rows[slot]
-                batched = yield MaesRequest(
+                batched = batched_maes(
                     matrix, y, self.config.linear_scaling, self.TRIM_FRACTION
                 )
                 for offset, slot in enumerate(live):
@@ -384,17 +352,6 @@ class GeneticProgrammer:
                 if cache is not None:
                     cache.put(key, mae)
         return maes  # type: ignore[return-value]
-
-    def _batched_maes(self, F: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The per-tree fitness math, vectorised over population rows.
-
-        Thin delegate to :func:`repro.core.gp.batch.batched_maes` (where
-        the math lives so merged cross-ESV passes can reuse it), bound to
-        this engine's scaling mode and trim fraction.
-        """
-        return batched_maes(F, y, self.config.linear_scaling, self.TRIM_FRACTION)
-
-    _batched_linear_fit = staticmethod(batched_linear_fit)
 
     # -------------------------------------------------------------- operators
 
@@ -503,23 +460,7 @@ class GeneticProgrammer:
     # -------------------------------------------------------------- evolution
 
     def fit(self, x_rows: Sequence[Sequence[float]], y_values: Sequence[float]) -> GpResult:
-        """Evolve a formula for the dataset ``(x_rows, y_values)``.
-
-        In-process driver for :meth:`fit_steps`; results are bit-identical
-        to a :class:`~repro.core.gp.batch.BatchEvaluator` driving the same
-        generator interleaved with other ESVs.
-        """
-        return drive(self.fit_steps(x_rows, y_values))
-
-    def fit_steps(self, x_rows: Sequence[Sequence[float]], y_values: Sequence[float]):
-        """Generator form of :meth:`fit`: yields every fitness-math request.
-
-        The evolution logic — rng stream, selection, operators, elitism,
-        early exit — runs inside the generator and is untouched by *where*
-        the yielded :class:`MaesRequest`\\ s are answered, which is what
-        keeps reports byte-identical across the serial and cross-ESV
-        batched execution modes.
-        """
+        """Evolve a formula for the dataset ``(x_rows, y_values)``."""
         if not x_rows:
             raise ValueError("empty dataset")
         config = self.config
@@ -576,7 +517,7 @@ class GeneticProgrammer:
                         )
                     )
 
-        maes, sizes = yield from self._evaluate_population_steps(population, columns, y)
+        maes, sizes = self._evaluate_population(population, columns, y)
         scores = [self._penalised(m, s) for m, s in zip(maes, sizes)]
         best_index = int(np.argmin(scores))
         best_tree, best_mae = population[best_index].copy(), maes[best_index]
@@ -610,9 +551,7 @@ class GeneticProgrammer:
                                         config.init_depth, config.const_range)
                 next_population.append(child)
             population = next_population
-            maes, sizes = yield from self._evaluate_population_steps(
-                population, columns, y
-            )
+            maes, sizes = self._evaluate_population(population, columns, y)
             scores = [self._penalised(m, s) for m, s in zip(maes, sizes)]
             best_index = int(np.argmin(scores))
             if maes[best_index] < best_mae:
@@ -620,7 +559,7 @@ class GeneticProgrammer:
             if best_mae <= config.fitness_threshold:
                 break  # stopping criterion (ii): fitness reached the threshold
 
-        best_tree = yield from self._refine_constants_steps(best_tree, columns, y)
+        best_tree = self._refine_constants(best_tree, columns, y)
         if config.linear_scaling:
             best_tree = polish_constants(best_tree, columns, y)
         best_mae = self._final_mae(best_tree, columns, y)
@@ -660,12 +599,6 @@ class GeneticProgrammer:
     def _refine_constants(
         self, tree: Node, columns: List[np.ndarray], y: np.ndarray
     ) -> Node:
-        """In-process driver for :meth:`_refine_constants_steps`."""
-        return drive(self._refine_constants_steps(tree, columns, y))
-
-    def _refine_constants_steps(
-        self, tree: Node, columns: List[np.ndarray], y: np.ndarray
-    ):
         """Greedy hill-climb on each constant of the winning tree.
 
         Evolution finds the right *shape* quickly but fine constants (e.g.
@@ -695,9 +628,7 @@ class GeneticProgrammer:
                     for candidate in candidates:
                         node.constant = candidate
                         programs.append(compile_tree(best))
-                    scores = yield from self._batched_fitness_steps(
-                        programs, columns, y, "full"
-                    )
+                    scores = self._batched_fitness(programs, columns, y, "full")
                 else:
                     scores = []
                     for candidate in candidates:

@@ -18,9 +18,12 @@ Pipeline (Fig. 6a):
 
 from __future__ import annotations
 
+import multiprocessing.util
+import os
+import threading
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,11 +39,11 @@ from .fields import EsvObservation, ExtractedFields, extract_fields
 from .formula_memo import FormulaMemo, dataset_key
 from .gp import GpConfig, prime_instruction_tables
 from .request_analysis import SemanticMatch, match_semantics
-from .response_analysis import InferredFormula, infer_formula, infer_formula_steps
+from .response_analysis import InferredFormula, infer_formula
 from .screenshot import FilterReport, UiSeries, analyze_video, extract_ui_series
 
 #: Execution backends for per-ESV formula inference (*where* it runs).
-_GP_BACKENDS = frozenset({"auto", "serial", "thread", "process", "island"})
+_GP_BACKENDS = frozenset({"auto", "serial", "process"})
 
 #: Inference backends for per-ESV formula inference (*which engine* runs);
 #: see :mod:`repro.core.inference`.
@@ -72,15 +75,12 @@ class ReverserConfig:
     perf: Optional[Callable[[], float]] = None
     #: Worker count for per-ESV formula inference (1 = serial in-process).
     gp_workers: int = 1
-    #: Execution backend for per-ESV formula inference: ``"auto"`` picks a
-    #: process pool whenever ``gp_workers > 1`` (the GP hot path is pure
-    #: Python, so only processes escape the GIL), ``"serial"``/``"thread"``
-    #: /``"process"`` force a specific backend, and ``"island"`` fans the
-    #: ESVs out over long-lived worker processes that each evolve an
-    #: *island* of ESVs through one cross-ESV batched pass, reading the
-    #: observation datasets from shared memory
-    #: (:mod:`repro.core.gp.islands`).  Every backend produces
-    #: byte-identical reports; only wall-clock differs.
+    #: Execution backend for per-ESV formula inference: ``"serial"`` runs
+    #: in-process, ``"process"`` always uses the persistent process pool
+    #: (:func:`gp_pool`), and ``"auto"`` uses the pool when
+    #: ``gp_workers > 1`` and a pass has more than one task (the GP hot
+    #: path is pure Python, so only processes escape the GIL).  Both
+    #: paths produce byte-identical reports; only wall-clock differs.
     gp_backend: str = "auto"
     #: *Inference* backend for formula recovery — which engine turns a
     #: paired dataset into a formula, orthogonal to :attr:`gp_backend`
@@ -91,13 +91,6 @@ class ReverserConfig:
     #: first and falls back to GP for the hard tail
     #: (:mod:`repro.core.inference`).
     formula_backend: str = "gp"
-    #: Cross-ESV batched fitness evaluation for the in-process backends:
-    #: when True (and more than one formula task is planned) the serial
-    #: path drives every ESV's inference generator through one
-    #: :class:`~repro.core.gp.BatchEvaluator`, merging same-shape fitness
-    #: passes across ESVs.  Island workers always evaluate this way.
-    #: Reports stay byte-identical either way.
-    gp_batch: bool = False
     #: Directory of the cross-run formula memo store
     #: (:class:`~repro.core.formula_memo.FormulaMemo`).  Empty string
     #: disables memoisation.
@@ -344,7 +337,7 @@ class _FormulaTask:
 
     ``slot`` is the ESV's position in the report, fixed at plan time so the
     output order is identical whether the tasks run serially or fan out
-    over a thread or process pool.
+    over the process pool.
     """
 
     slot: int
@@ -357,7 +350,7 @@ class _FormulaTask:
     protocol: str
     formula_type: int
     #: Requested inference backend (``gp``/``linear``/``hybrid``); rides
-    #: in the pickled payload so process/island workers run the same
+    #: in the pickled payload so pool workers run the same
     #: engine — and key the memo the same way — as the serial path.
     backend: str = "gp"
 
@@ -422,74 +415,7 @@ def _execute_formula_task(
     return _esv_from_task(task, inferred), memo_hit
 
 
-def run_batched_tasks(
-    tasks: List[_FormulaTask],
-    memo: Optional[FormulaMemo],
-    perf: Callable[[], float] = time.perf_counter,
-) -> List[_TaskOutcome]:
-    """Execute many formula tasks as one cross-ESV batched pass.
-
-    Memo lookups happen up front (sequentially, so their spans nest
-    normally); every miss becomes an :func:`infer_formula_steps`
-    generator, and one :class:`~repro.core.gp.BatchEvaluator` drives all
-    of them in lock step, merging same-shape fitness evaluations across
-    ESVs.  Results — and therefore reports — are byte-identical to
-    running the tasks one at a time.
-
-    ``elapsed`` telemetry: concurrent inferences have no private
-    wall-clock, so each executed task reports an equal share of the batch
-    duration (memo hits report 0.0).  Per-restart spans are not recorded
-    — interleaved coroutines cannot nest spans — so the batch is covered
-    by a single ``gp_batch`` span instead.
-    """
-    from .gp.batch import BatchEvaluator
-
-    tracer = get_active()
-    start = perf()
-    outcomes: List[_TaskOutcome] = []
-    generators = []
-    gen_tasks: List[Tuple[_FormulaTask, Optional[str]]] = []
-    with tracer.span("gp_batch", n_tasks=len(tasks)):
-        for task in tasks:
-            key: Optional[str] = None
-            if memo is not None:
-                with tracer.span("memo_lookup", esv=task.identifier) as span:
-                    key = dataset_key(
-                        task.observations,
-                        task.series,
-                        task.config,
-                        backend=task.backend,
-                    )
-                    memo_hit, inferred = memo.get(key)
-                    span.set(hit=memo_hit)
-                if memo_hit:
-                    outcomes.append(
-                        _TaskOutcome(task.slot, _esv_from_task(task, inferred), 0.0, True)
-                    )
-                    continue
-            generators.append(
-                infer_formula_steps(
-                    task.observations, task.series, task.config, backend=task.backend
-                )
-            )
-            gen_tasks.append((task, key))
-        results = BatchEvaluator().run(generators)
-        share = (perf() - start) / max(1, len(gen_tasks))
-        for (task, key), inferred in zip(gen_tasks, results):
-            if memo is not None:
-                memo.put(key, inferred)
-            outcomes.append(
-                _TaskOutcome(
-                    task.slot,
-                    _esv_from_task(task, inferred),
-                    share,
-                    False if memo is not None else None,
-                )
-            )
-    return outcomes
-
-
-#: Per-process state for the ``process`` GP backend, installed once per pool
+#: Per-process state for the GP pool workers, installed once per pool
 #: worker by :func:`_gp_worker_init`.  Module-level because
 #: :class:`ProcessPoolExecutor` only ships module-level callables.
 _WORKER_MEMO: Optional[FormulaMemo] = None
@@ -538,6 +464,76 @@ def _run_formula_task(task: _FormulaTask) -> _TaskOutcome:
         )
     esv, memo_hit = _execute_formula_task(task, _WORKER_MEMO)
     return _TaskOutcome(task.slot, esv, time.perf_counter() - start, memo_hit)
+
+
+def _warm_up() -> None:
+    """No-op task: makes a pool worker spawn and run its initializer."""
+
+
+#: The persistent GP pools of this process, keyed by the configuration
+#: their workers were initialised with: ``(workers, memo_dir, trace)``.
+_GP_POOLS: Dict[Tuple[int, str, bool], ProcessPoolExecutor] = {}
+_GP_POOLS_LOCK = threading.Lock()
+
+
+def _forget_gp_pools() -> None:
+    """A forked child does not own its parent's pools: start empty."""
+    global _GP_POOLS_LOCK
+    _GP_POOLS.clear()
+    _GP_POOLS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_gp_pools)
+
+
+def gp_pool(workers: int, memo_dir: str = "", trace: bool = False) -> ProcessPoolExecutor:
+    """The process-wide GP pool for one worker configuration.
+
+    Built on first use and shared by every later inference pass, reverser
+    and service session with the same configuration, so process spawn
+    and worker warm-up are paid once per process.  A pool whose worker
+    died (its calls raised ``BrokenProcessPool``) is replaced by a fresh
+    one.  Thread-safe: the diagnostic service finalises sessions from
+    several offload threads.
+    """
+    key = (max(1, int(workers)), str(memo_dir or ""), bool(trace))
+    with _GP_POOLS_LOCK:
+        pool = _GP_POOLS.get(key)
+        if pool is not None and not pool._broken:
+            return pool
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        # The platform's default start method (fork on Linux): spawn would
+        # re-import the package in every worker, about 1 s more per car-K
+        # reverse on a 2-core host.
+        pool = _GP_POOLS[key] = ProcessPoolExecutor(
+            max_workers=key[0], initializer=_gp_worker_init, initargs=key[1:]
+        )
+        # A multiprocessing finalizer rather than atexit: it also runs when
+        # this process is itself a pool worker (a fleet job), where atexit
+        # hooks never run, and it runs before multiprocessing joins the
+        # worker's children, which would otherwise wait on this pool.  Its
+        # priority is above the pool queues' own close finalizers (10): the
+        # shutdown sentinels need the queue's feeder thread still running.
+        multiprocessing.util.Finalize(pool, pool.shutdown, exitpriority=20)
+        return pool
+
+
+def warm_gp_pool(workers: int, memo_dir: str = "", trace: bool = False) -> ProcessPoolExecutor:
+    """:func:`gp_pool`, with every worker spawned and initialised."""
+    pool = gp_pool(workers, memo_dir, trace)
+    for future in [pool.submit(_warm_up) for __ in range(max(1, int(workers)))]:
+        future.result()
+    return pool
+
+
+def shutdown_gp_pools() -> None:
+    """Shut down every cached GP pool; the next use builds a new one."""
+    with _GP_POOLS_LOCK:
+        pools = list(_GP_POOLS.values())
+        _GP_POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -609,13 +605,11 @@ class DPReverser:
         #: wall-clock only, never the report.  The fitness hot path is the
         #: compiled-program interpreter loop: Python bytecode dispatching
         #: numpy calls on arrays of a few dozen samples, so the GIL is held
-        #: nearly the whole time and threads serialise on it.  Real speedup
-        #: needs the ``process`` backend, which ``"auto"`` selects whenever
-        #: ``gp_workers > 1``.
+        #: nearly the whole time.  Real speedup needs the process pool,
+        #: which ``"auto"`` selects whenever ``gp_workers > 1``.
         self.gp_workers = self.config.gp_workers
         self.gp_backend = self.config.gp_backend
         self.formula_backend = self.config.formula_backend
-        self.gp_batch = self.config.gp_batch
         self.gp_memo_dir = str(self.config.gp_memo_dir or "")
         #: Formula-memo traffic accumulated across :meth:`infer` calls;
         #: stays all-zero while memoisation is off.  Besides the aggregate
@@ -921,92 +915,42 @@ class DPReverser:
     def _resolve_backend(self, n_tasks: int) -> str:
         """The backend one inference pass actually uses.
 
-        An explicitly requested ``"island"`` backend always wins — its
-        pool is shared across :meth:`infer` calls, so even a one-task
-        pass benefits from the already-warm workers.  Otherwise a single
-        worker or a single task runs serially in-process (no pool is
-        worth starting), and ``"auto"`` picks the process pool, the only
-        per-ESV backend the GIL lets scale.
+        ``"serial"`` and ``"process"`` are taken as given; ``"auto"`` uses
+        the pool only when there are several workers and several tasks.
         """
-        if self.gp_backend == "island":
-            return "island"
-        if self.gp_workers == 1 or n_tasks <= 1:
-            return "serial"
-        if self.gp_backend == "auto":
+        if self.gp_backend != "auto":
+            return self.gp_backend
+        if self.gp_workers > 1 and n_tasks > 1:
             return "process"
-        return self.gp_backend
+        return "serial"
 
     def _execute_tasks(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
         """Run every planned task on the resolved backend.
 
-        Inference raises on bugs rather than degrading, and both pool
-        backends re-raise the first task exception out of ``result()`` —
-        parallel modes keep serial mode's exception behaviour.
+        Pool workers receive only pickled :class:`_FormulaTask` payloads;
+        results carry the stage timings, memo flags and spans back because
+        neither :attr:`stage_hook`, the memo handle nor the tracer can
+        cross the process boundary.  Inference raises on bugs rather than
+        degrading, and ``result()`` re-raises the first task exception, so
+        the pool keeps the serial path's exception behaviour.
         """
         if not tasks:
             return []
-        backend = self._resolve_backend(len(tasks))
-        if backend == "island":
-            return self._run_tasks_island(tasks)
-        if backend == "process":
-            return self._run_tasks_process(tasks)
+        if self._resolve_backend(len(tasks)) == "process":
+            pool = gp_pool(self.gp_workers, self.gp_memo_dir, self.tracer.enabled)
+            futures = [pool.submit(_run_formula_task, task) for task in tasks]
+            return [future.result() for future in futures]
         memo = FormulaMemo(self.gp_memo_dir) if self.gp_memo_dir else None
-        if backend == "thread":
-            return self._run_tasks_thread(tasks, memo)
-        if self.gp_batch and len(tasks) > 1:
-            return run_batched_tasks(tasks, memo, self.perf)
         return [self._run_one(task, memo) for task in tasks]
 
     def _run_one(
         self, task: _FormulaTask, memo: Optional[FormulaMemo]
     ) -> _TaskOutcome:
-        """Serial/thread task execution, timed with the injected clock."""
+        """Serial task execution, timed with the injected clock."""
         start = self.perf()
         with self.tracer.span("gp_formula", esv=task.identifier, backend=task.backend):
             esv, memo_hit = _execute_formula_task(task, memo)
         return _TaskOutcome(task.slot, esv, self.perf() - start, memo_hit)
-
-    def _run_tasks_thread(
-        self, tasks: List[_FormulaTask], memo: Optional[FormulaMemo]
-    ) -> List[_TaskOutcome]:
-        """Thread-pool backend: zero startup cost, GIL-bound scaling."""
-        with ThreadPoolExecutor(
-            max_workers=min(self.gp_workers, len(tasks))
-        ) as pool:
-            futures = [pool.submit(self._run_one, task, memo) for task in tasks]
-            return [future.result() for future in futures]
-
-    def _run_tasks_island(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
-        """Island backend: persistent workers + shared-memory datasets.
-
-        The pool outlives this call (and this reverser — it is cached at
-        module level in :mod:`repro.core.gp.islands` and reused by every
-        reverser with the same worker/memo/trace configuration), so
-        repeated :meth:`infer` calls pay the process-spawn and
-        instruction-table warm-up exactly once per run, not once per
-        capture.
-        """
-        from .gp.islands import shared_pool
-
-        pool = shared_pool(self.gp_workers, self.gp_memo_dir, self.tracer.enabled)
-        return pool.run(tasks)
-
-    def _run_tasks_process(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
-        """Process-pool backend: persistent warmed workers, lean payloads.
-
-        Workers are initialised once (:func:`_gp_worker_init`) and then
-        receive only pickled :class:`_FormulaTask` payloads; results carry
-        the stage timings and memo flags back because neither
-        :attr:`stage_hook` nor the parent memo handle can cross the
-        process boundary.
-        """
-        with ProcessPoolExecutor(
-            max_workers=min(self.gp_workers, len(tasks)),
-            initializer=_gp_worker_init,
-            initargs=(self.gp_memo_dir, self.tracer.enabled),
-        ) as pool:
-            futures = [pool.submit(_run_formula_task, task) for task in tasks]
-            return [future.result() for future in futures]
 
 
 def _stable_seed(identifier: str, base: int) -> int:

@@ -53,23 +53,13 @@ class JobSpec:
     #: never the payload — excluded from :attr:`job_id` like
     #: :attr:`live_latency_s`.
     gp_workers: int = 1
-    #: Per-ESV inference backend (``"auto"``/``"serial"``/``"thread"``/
-    #: ``"process"``/``"island"``).  Every backend produces byte-identical
-    #: payloads, so this is execution policy like :attr:`gp_workers` —
-    #: excluded from :attr:`job_id`.
-    gp_backend: str = "auto"
-    #: Merge same-shape fitness evaluations across this job's ESVs into
-    #: single batched matrix passes (see
-    #: :class:`~repro.core.gp.BatchEvaluator`).  Byte-identical results,
-    #: so execution policy — excluded from :attr:`job_id`.
-    gp_batch: bool = False
     #: Directory of the cross-run formula memo store (empty = off).  Memo
     #: hits replay the exact stored result, so the payload is unchanged —
     #: excluded from :attr:`job_id`.
     gp_memo_dir: str = ""
     #: Formula-*inference* backend (``"gp"``/``"linear"``/``"hybrid"`` —
     #: *what solver* recovers each formula), as opposed to
-    #: :attr:`gp_backend`, which is *where* GP evaluations run.  Excluded
+    #: :attr:`gp_workers`, which is *where* GP evaluations run.  Excluded
     #: from :attr:`job_id`: ``hybrid`` recovers the identical ESV set with
     #: mathematically equivalent formulas as pure GP (an invariant the
     #: backend benchmark asserts fleet-wide), so a checkpointed sweep
@@ -125,8 +115,6 @@ class JobSpec:
             "gp_overrides": [list(pair) for pair in self.gp_overrides],
             "live_latency_s": self.live_latency_s,
             "gp_workers": self.gp_workers,
-            "gp_backend": self.gp_backend,
-            "gp_batch": self.gp_batch,
             "gp_memo_dir": self.gp_memo_dir,
             "formula_backend": self.formula_backend,
             "noise_spec": self.noise_spec,
@@ -136,6 +124,9 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
+        """The spec of a :meth:`to_dict` payload.  Keys of older formats
+        that no longer name a field (the removed GP execution-backend
+        knobs) are ignored; none of them entered :attr:`job_id`."""
         return cls(
             car_key=payload["car_key"],
             seed=payload["seed"],
@@ -146,8 +137,6 @@ class JobSpec:
             ),
             live_latency_s=payload.get("live_latency_s", 0.0),
             gp_workers=payload.get("gp_workers", 1),
-            gp_backend=payload.get("gp_backend", "auto"),
-            gp_batch=payload.get("gp_batch", False),
             gp_memo_dir=payload.get("gp_memo_dir", ""),
             formula_backend=payload.get("formula_backend", "gp"),
             noise_spec=payload.get("noise_spec", ""),
@@ -267,8 +256,6 @@ def fleet_job_specs(
     read_duration_s: float = 30.0,
     gp_overrides: Tuple[Tuple[str, object], ...] = (),
     gp_workers: int = 1,
-    gp_backend: str = "auto",
-    gp_batch: bool = False,
     gp_memo_dir: str = "",
     formula_backend: str = "gp",
     noise_spec: str = "",
@@ -289,8 +276,6 @@ def fleet_job_specs(
             read_duration_s=read_duration_s,
             gp_overrides=gp_overrides,
             gp_workers=gp_workers,
-            gp_backend=gp_backend,
-            gp_batch=gp_batch,
             gp_memo_dir=gp_memo_dir,
             formula_backend=formula_backend,
             noise_spec=noise_spec,
@@ -346,8 +331,6 @@ def run_job(spec: JobSpec, perf: Optional[Callable[[], float]] = None) -> JobRes
                 stage_hook=record_stage,
                 perf=perf,
                 gp_workers=spec.gp_workers,
-                gp_backend=spec.gp_backend,
-                gp_batch=spec.gp_batch,
                 gp_memo_dir=spec.gp_memo_dir,
                 formula_backend=spec.formula_backend,
                 noise=spec.noise_profile(),

@@ -152,7 +152,7 @@ class SchedulerConfig:
     #: of building and tearing down a pool per batch.  Repeated sweeps
     #: (benchmark sizings, the streaming service's periodic re-runs) then
     #: pay process spawn and worker warm-up once per scheduler lifetime —
-    #: the same long-lived-worker model the island GP backend uses.  Call
+    #: the same long-lived-worker model the persistent GP pool uses.  Call
     #: :meth:`Scheduler.close` (or use the scheduler as a context manager)
     #: when done; timed-out attempts left running can occupy a persistent
     #: worker until they finish, exactly as they occupy an abandoned pool.

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.gp import GpConfig
-from ..core.reverser import DPReverser, ReverserConfig
+from ..core.reverser import DPReverser, ReverserConfig, shutdown_gp_pools
 from ..observability.export import build_snapshot
 from ..observability.trace import NULL_TRACER, Tracer
 from ..runtime.metrics import MetricsRegistry
@@ -87,30 +87,21 @@ class ServiceConfig:
     max_capture_frames: int = MAX_CAPTURE_FRAMES
     max_message_bytes: int = MAX_MESSAGE_BYTES
     #: Workers of the analysis offload pool (``thread`` kind: keeps the
-    #: event loop free; the GP hot path escapes the GIL separately via
-    #: ``gp_backend="process"``).
+    #: event loop free; the GP hot path escapes the GIL separately in the
+    #: GP process pool).
     analysis_workers: int = 2
     #: GP search parameters for final inference (None = paper defaults).
     gp_config: Optional[GpConfig] = None
+    #: Workers of the persistent GP process pool every finalize runs its
+    #: per-ESV inference on (:func:`~repro.core.reverser.gp_pool`).  The
+    #: pool is spawned once per server process, so GP never holds the
+    #: event loop's GIL.  Reports are byte-identical to the batch CLI.
     gp_workers: int = 1
-    #: Per-ESV inference backend for finalize.  ``"auto"`` resolves to
-    #: ``"island"`` here (unlike the batch CLI): a long-lived server
-    #: amortises the island pool's one-off spawn across every session, and
-    #: each finalize then ships its observation datasets to the workers
-    #: through one shared-memory segment instead of pickling them through
-    #: a fresh pool's pipe per request.  Reports are byte-identical on
-    #: every backend.
-    gp_backend: str = "auto"
-    #: Merge same-shape GP evaluations across a session's ESVs into single
-    #: batched matrix passes (applies to the serial backend; island
-    #: workers always batch their islands).
-    gp_batch: bool = True
     #: Shared on-disk formula memo directory ("" disables cross-session
     #: formula reuse).
     gp_memo_dir: str = ""
     #: Formula-*inference* backend for finalize (``"gp"``/``"linear"``/
-    #: ``"hybrid"`` — what solver recovers each formula, where
-    #: :attr:`gp_backend` decides where GP evaluations run).
+    #: ``"hybrid"`` — what solver recovers each formula).
     formula_backend: str = "gp"
     ocr_seed: int = 23
     #: Record per-session spans into the server tracer (one lane each).
@@ -192,6 +183,7 @@ class DiagnosticServer:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        shutdown_gp_pools()
 
     async def drain(self, poll_interval: float = 0.02) -> None:
         """Graceful shutdown, phase one: refuse new work, finish old.
@@ -199,7 +191,7 @@ class DiagnosticServer:
         Closes the listener (no further accepts) and waits for every live
         session to run to completion — the SIGTERM half of a shard's
         drain-then-exit sequence.  :meth:`stop` afterwards tears down the
-        worker pool.
+        worker pools.
         """
         if self._server is not None:
             self._server.close()
@@ -243,16 +235,12 @@ class DiagnosticServer:
         return await asyncio.wrap_future(self._pool.submit(fn, *args))
 
     def _build_reverser(self, session: VehicleSession) -> DPReverser:
-        backend = self.config.gp_backend
-        if backend == "auto":
-            backend = "island"
         return DPReverser(
             ReverserConfig(
                 gp_config=self.config.gp_config,
                 ocr_seed=self.config.ocr_seed,
                 gp_workers=self.config.gp_workers,
-                gp_backend=backend,
-                gp_batch=self.config.gp_batch,
+                gp_backend="process",
                 gp_memo_dir=self.config.gp_memo_dir,
                 formula_backend=self.config.formula_backend,
                 trace=session.tracer if session.tracer.enabled else None,

@@ -1,7 +1,7 @@
 """Process-parallel GP inference and the cross-run formula memo.
 
-The load-bearing invariant: every execution backend (serial, thread pool,
-process pool) and every memo path (cold, warm, corrupt store) produces a
+The load-bearing invariant: both execution backends (serial in-process,
+the persistent process pool) and every memo path (cold, warm, corrupt store) produces a
 byte-identical :class:`~repro.core.reverser.ReverseReport` — and therefore
 identical fleet results digests.  Everything here asserts that invariant
 or the serialization machinery it rests on.
@@ -144,21 +144,20 @@ def reverse_capture(capture, **kwargs):
 
 @pytest.mark.slow
 class TestBackendEquivalence:
-    """serial == thread == process, byte for byte."""
+    """serial == process, byte for byte."""
 
     def test_all_backends_byte_identical(self):
         capture = car_capture()
         serial, serial_stages, reverser = reverse_capture(capture)
         n_formulas = len(reverser.last_report.formula_esvs)
         assert n_formulas > 1
-        for backend in ("thread", "process"):
-            parallel, stages, __ = reverse_capture(
-                capture, gp_workers=4, gp_backend=backend
-            )
-            assert parallel == serial, f"{backend} backend diverged from serial"
-            # stage_hook cannot cross the process boundary; timings ride
-            # back in the result objects and replay once per formula ESV.
-            assert stages.count("gp_formula") == n_formulas
+        parallel, stages, __ = reverse_capture(
+            capture, gp_workers=4, gp_backend="process"
+        )
+        assert parallel == serial, "process backend diverged from serial"
+        # stage_hook cannot cross the process boundary; timings ride
+        # back in the result objects and replay once per formula ESV.
+        assert stages.count("gp_formula") == n_formulas
         assert serial_stages.count("gp_formula") == n_formulas
 
     def test_explicit_serial_backend_ignores_workers(self):
@@ -171,26 +170,34 @@ class TestBackendEquivalence:
         assert reverser._resolve_backend(n_tasks=1) == "serial"
         assert DPReverser(ReverserConfig())._resolve_backend(n_tasks=10) == "serial"
 
+    def test_explicit_process_backend_always_uses_the_pool(self):
+        reverser = DPReverser(ReverserConfig(gp_backend="process"))
+        assert reverser._resolve_backend(n_tasks=1) == "process"
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             DPReverser(ReverserConfig(gp_backend="greenlet"))
+
+    @pytest.mark.parametrize("backend", ["thread", "island"])
+    def test_removed_backends_rejected(self, backend):
+        with pytest.raises(ValueError):
+            DPReverser(ReverserConfig(gp_backend=backend))
 
     def test_fleet_digest_identical_across_gp_backends(self):
         from repro.runtime import Scheduler, SchedulerConfig, fleet_job_specs
 
         overrides = (("generations", 8), ("population_size", 100))
         digests = {}
-        for backend in ("serial", "thread", "process"):
+        for workers in (1, 2):  # auto: serial, then the process pool
             report = Scheduler(SchedulerConfig()).run(
                 fleet_job_specs(
                     ["C"],
                     read_duration_s=8.0,
                     gp_overrides=overrides,
-                    gp_workers=1 if backend == "serial" else 2,
-                    gp_backend=backend,
+                    gp_workers=workers,
                 )
             )
-            digests[backend] = report.results_digest()
+            digests[workers] = report.results_digest()
         assert len(set(digests.values())) == 1, digests
 
 
@@ -199,27 +206,24 @@ class TestJobSpecFields:
         from repro.runtime import JobSpec
 
         base = JobSpec(car_key="C")
-        tuned = JobSpec(
-            car_key="C",
-            gp_workers=4,
-            gp_backend="process",
-            gp_memo_dir=str(tmp_path),
-        )
+        tuned = JobSpec(car_key="C", gp_workers=4, gp_memo_dir=str(tmp_path))
         assert base.job_id == tuned.job_id
+        legacy = JobSpec.from_dict(dict(tuned.to_dict(), gp_backend="process"))
+        assert legacy == tuned and legacy.job_id == base.job_id
 
     def test_round_trip(self, tmp_path):
         from repro.runtime import JobSpec
 
-        spec = JobSpec(car_key="C", gp_backend="thread", gp_memo_dir=str(tmp_path))
+        spec = JobSpec(car_key="C", gp_workers=2, gp_memo_dir=str(tmp_path))
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_defaults_for_old_checkpoints(self):
         from repro.runtime import JobSpec
 
         payload = JobSpec(car_key="C").to_dict()
-        del payload["gp_backend"], payload["gp_memo_dir"]
+        del payload["gp_workers"], payload["gp_memo_dir"]
         spec = JobSpec.from_dict(payload)
-        assert spec.gp_backend == "auto" and spec.gp_memo_dir == ""
+        assert spec.gp_workers == 1 and spec.gp_memo_dir == ""
 
 
 # ----------------------------------------------------------------------- memo
@@ -300,7 +304,7 @@ class TestFormulaMemo:
 
 @pytest.mark.slow
 class TestMemoEndToEnd:
-    """Warm reruns skip GP and stay byte-identical, on every backend."""
+    """Warm reruns skip GP and stay byte-identical, on both backends."""
 
     def test_warm_rerun_identical_and_all_hits(self, tmp_path):
         capture = car_capture()
@@ -318,7 +322,7 @@ class TestMemoEndToEnd:
             "gp.misses": n_formulas,
         }
 
-        for backend, workers in (("process", 2), ("serial", 1), ("thread", 2)):
+        for backend, workers in (("process", 2), ("serial", 1)):
             warm_report, stages, warm_reverser = reverse_capture(
                 capture,
                 gp_workers=workers,

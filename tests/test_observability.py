@@ -7,8 +7,8 @@ Covers the PR's acceptance criteria directly:
   null context object, zero spans recorded);
 * Chrome-trace export validity (JSON round-trip, required event keys) and
   Prometheus text-format escaping;
-* cross-process span transport — every GP backend (serial, thread,
-  process) yields the same ``gp_formula`` span count;
+* cross-process span transport — both GP backends (serial, process pool)
+  yield the same multiset of span names, with the formula memo off or on;
 * byte-identical :class:`~repro.core.reverser.ReverseReport` with tracing
   on vs off;
 * the :class:`~repro.runtime.metrics.MetricsRegistry` counter/histogram
@@ -17,6 +17,7 @@ Covers the PR's acceptance criteria directly:
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -294,29 +295,31 @@ class TestPipelineTracing:
             assert stage in by_name, f"missing {stage} spans"
         assert len(by_name["gp_formula"]) == len(traced.formula_esvs)
 
-    def test_span_counts_equal_across_gp_backends(self):
+    def test_span_counts_equal_across_gp_backends(self, tmp_path):
         capture = car_capture()
-        counts = {}
-        reports = {}
-        for backend, workers in (("serial", 1), ("thread", 4), ("process", 4)):
-            tracer = Tracer()
-            report = DPReverser(
-                ReverserConfig(
-                    gp_config=GP,
-                    gp_backend=backend,
-                    gp_workers=workers,
-                    trace=tracer,
-                )
-            ).reverse_engineer(capture)
-            by_name = tracer.by_name()
-            counts[backend] = {
-                name: len(group)
-                for name, group in by_name.items()
-                if name in ("gp_formula", "infer_formulas", "assemble")
-            }
-            reports[backend] = json.dumps(report.to_dict(), sort_keys=True)
-        assert counts["serial"] == counts["thread"] == counts["process"]
-        assert reports["serial"] == reports["thread"] == reports["process"]
+        for memo in (False, True):
+            counts = {}
+            reports = {}
+            for backend, workers in (("serial", 1), ("process", 4)):
+                tracer = Tracer()
+                # A fresh memo per backend: both runs miss every lookup.
+                memo_dir = str(tmp_path / backend) if memo else ""
+                report = DPReverser(
+                    ReverserConfig(
+                        gp_config=GP,
+                        gp_backend=backend,
+                        gp_workers=workers,
+                        gp_memo_dir=memo_dir,
+                        trace=tracer,
+                    )
+                ).reverse_engineer(capture)
+                counts[backend] = Counter(span.name for span in tracer.spans)
+                reports[backend] = json.dumps(report.to_dict(), sort_keys=True)
+            n_formulas = len(report.formula_esvs)
+            assert counts["serial"]["gp_formula"] == n_formulas
+            assert counts["serial"]["memo_lookup"] == (n_formulas if memo else 0)
+            assert counts["serial"] == counts["process"], f"memo={memo}"
+            assert reports["serial"] == reports["process"]
 
     def test_fleet_digest_identical_with_tracing(self):
         from repro.runtime import Scheduler, SchedulerConfig, fleet_job_specs
