@@ -63,15 +63,20 @@ import json
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..can import MAX_DATA_LENGTH, CanFrame, InvalidFrameError
+import numpy as np
+
+from ..can import (
+    MAX_DATA_LENGTH,
+    MAX_EXTENDED_ID,
+    MAX_STANDARD_ID,
+    CanFrame,
+    InvalidFrameError,
+)
 from ..cps.arm import ClickRecord
 from ..cps.camera import CapturedFrame, TextRegion
 from ..cps.collector import Capture, Segment
-from ..transport.arrays import HAVE_NUMPY, FrameArrays
+from ..transport.arrays import FrameArrays
 from ..transport.kline import KLineByte
-
-if HAVE_NUMPY:
-    import numpy as np
 
 PROTOCOL_VERSION = 1
 
@@ -404,32 +409,29 @@ class _LazyBatchFrames:
 
 #: The packed record as a numpy structured dtype — field-for-field the
 #: layout of :data:`FRAME_RECORD`, so a batch body *is* a record array.
-if HAVE_NUMPY:
-    _RECORD_DTYPE = np.dtype(
-        [
-            ("t", "<f8"),
-            ("id", "<u4"),
-            ("flags", "u1"),
-            ("dlc", "u1"),
-            ("data", "u1", (MAX_DATA_LENGTH,)),
-        ]
-    )
-    assert _RECORD_DTYPE.itemsize == FRAME_RECORD.size
+_RECORD_DTYPE = np.dtype(
+    [
+        ("t", "<f8"),
+        ("id", "<u4"),
+        ("flags", "u1"),
+        ("dlc", "u1"),
+        ("data", "u1", (MAX_DATA_LENGTH,)),
+    ]
+)
+assert _RECORD_DTYPE.itemsize == FRAME_RECORD.size
 
 
 def arrays_from_batch(message: dict):
     """Decode one ``frame-batch`` straight into a columnar view.
 
-    Validates the same invariants as :func:`frames_from_batch` (record
-    stride, DLC bound, channel-table bounds) but reinterprets the packed
-    body as a numpy record array instead of looping — no per-frame Python
-    object is built.  The returned :class:`FrameArrays` carries a lazy
-    ``frames`` sequence that materialises real :class:`CanFrame` objects
-    only if a fallback path (noisy stream, capture rebuild) asks for
-    them.  Without numpy this degrades to :func:`frames_from_batch`.
+    Rejects exactly the records :func:`frames_from_batch` rejects (record
+    stride, DLC bound, channel-table bounds, CAN id range) but
+    reinterprets the packed body as a numpy record array instead of
+    looping — no per-frame Python object is built.  The returned
+    :class:`FrameArrays` carries a lazy ``frames`` sequence that
+    materialises real :class:`CanFrame` objects only if a fallback path
+    (noisy stream, capture rebuild) asks for them.
     """
-    if not HAVE_NUMPY:
-        return frames_from_batch(message)
     packed = message.get("_packed")
     if not isinstance(packed, (bytes, bytearray, memoryview)):
         raise ProtocolError("frame-batch message carries no packed records")
@@ -448,6 +450,15 @@ def arrays_from_batch(message: dict):
             raise ProtocolError(f"frame record declares DLC {int(dlcs.max())}")
         if int(records["flags"].max()) >> _CHANNEL_SHIFT > len(channels):
             raise ProtocolError("frame record names a channel outside the table")
+        extended = (records["flags"] & FLAG_EXTENDED).astype(bool)
+        limits = np.where(extended, MAX_EXTENDED_ID, MAX_STANDARD_ID)
+        bad = np.flatnonzero(records["id"] > limits)
+        if bad.size:
+            first = int(bad[0])
+            raise ProtocolError(
+                f"bad frame record: CAN id {int(records['id'][first]):#x} out of "
+                f"range for {'extended' if extended[first] else 'standard'} frame"
+            )
     payloads = records["data"].copy()
     columns = np.arange(MAX_DATA_LENGTH, dtype=np.int16)
     payloads[columns[None, :] >= dlcs[:, None]] = 0  # pad bytes are not data

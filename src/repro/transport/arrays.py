@@ -4,17 +4,14 @@ The event decoders in this package process one frame at a time through a
 Python state machine — necessary for multi-frame reassembly, but pure
 overhead for the common capture where most conversations are clean
 single-frame request/response pairs.  :class:`FrameArrays` converts a
-whole capture into numpy columns once (ids, timestamps, DLCs, and a
-zero-padded ``N x 8`` payload matrix) so that screening, transport
-classification, and single-frame payload extraction become array
-operations over the entire capture instead of per-frame Python calls.
+chunk of a capture (or all of it) into numpy columns once (ids,
+timestamps, DLCs, and a zero-padded ``N x 8`` payload matrix) so that
+screening and single-frame payload extraction become array operations
+over the chunk instead of per-frame Python calls.
 
 The original :class:`~repro.can.CanFrame` objects are kept alongside the
 columns: any stream the vectorised path cannot prove clean falls back to
 the event decoders, which need the real frames.
-
-Hosts without numpy (:data:`HAVE_NUMPY` false) simply never build the
-columnar view; every caller treats that as "use the event path".
 """
 
 from __future__ import annotations
@@ -22,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from ..can import MAX_DATA_LENGTH, CanFrame
 
@@ -55,8 +46,6 @@ class FrameArrays:
         the mask's true cells is exactly frame order x byte order, so no
         per-frame Python assignment is needed.
         """
-        if not HAVE_NUMPY:
-            raise RuntimeError("numpy unavailable; use the event decode path")
         frames = list(frames)
         n = len(frames)
         can_ids = np.fromiter((f.can_id for f in frames), dtype=np.uint32, count=n)

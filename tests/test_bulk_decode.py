@@ -1,12 +1,13 @@
-"""Vectorised capture decode (:func:`repro.core.assembly.bulk_assemble`).
+"""Capture decode: one path, :meth:`StreamAssembler.feed_chunk` + ``finish``.
 
-The bulk path turns a whole capture into numpy arrays and decodes clean
-single-frame streams without per-frame Python, replaying only the noisy
-streams through the event-based reassemblers.  Its contract is strict
-equivalence: identical messages *and* identical diagnostics to the event
-path on any capture, which the fuzzer here checks on adversarial mixes of
-valid traffic, malformed PCIs, truncations, sequence gaps and timestamp
-ties.
+:func:`~repro.core.assembly.assemble_with_diagnostics` hands the whole
+capture to one ``feed_chunk`` call, which slices clean single-frame
+streams out of a numpy payload matrix and replays everything else through
+the per-frame :meth:`StreamAssembler.feed`.  Its contract is strict
+equivalence with ``feed`` on every frame: identical messages *and*
+identical diagnostics on any capture, whole or chunked, hardened or not,
+which the fuzzer here checks on adversarial mixes of valid traffic,
+malformed PCIs, truncations, sequence gaps and timestamp ties.
 """
 
 import random
@@ -14,27 +15,24 @@ import random
 import pytest
 
 from repro.can import CanFrame
-from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP, TRANSPORT_VWTP, screen
-from repro.core.assembly import StreamAssembler, assemble_with_diagnostics, bulk_assemble
-from repro.transport.arrays import HAVE_NUMPY, FrameArrays
+from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP, screen
+from repro.core.assembly import StreamAssembler, assemble_with_diagnostics
 from repro.transport import segment, segment_bmw
+from repro.transport.arrays import FrameArrays
+from repro.transport.base import DEFAULT_HARDENING
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="bulk decode needs numpy")
 
-
-def event_assemble(frames, transport):
-    """The per-frame reference path, bypassing the bulk dispatch."""
-    assembler = StreamAssembler(transport)
-    for frame in screen(frames, transport):
+def per_frame_assemble(frames, transport, hardening=None):
+    """The reference: :meth:`StreamAssembler.feed` on every frame."""
+    assembler = StreamAssembler(transport, hardening=hardening)
+    for frame in frames:
         assembler.feed(frame)
     return assembler.finish()
 
 
-def assert_equivalent(frames, transport):
-    bulk = bulk_assemble(frames, transport)
-    assert bulk is not None
-    messages, diagnostics = bulk
-    ref_messages, ref_diagnostics = event_assemble(frames, transport)
+def assert_equivalent(decoded, reference):
+    messages, diagnostics = decoded
+    ref_messages, ref_diagnostics = reference
     assert [
         (m.can_id, m.payload, m.t_first, m.t_last, m.n_frames, m.ecu_address)
         for m in messages
@@ -86,13 +84,39 @@ def random_capture(rng, transport):
     return stamped
 
 
+def fuzz_captures(transport, cases=40):
+    rng = random.Random(hash(transport) & 0xFFFF)
+    return [random_capture(rng, transport) for __ in range(cases)]
+
+
 class TestFuzzEquivalence:
     @pytest.mark.parametrize("transport", [TRANSPORT_ISOTP, TRANSPORT_BMW])
     def test_bulk_matches_event_path_on_noisy_captures(self, transport):
-        rng = random.Random(hash(transport) & 0xFFFF)
-        for case in range(40):
-            frames = random_capture(rng, transport)
-            assert_equivalent(frames, transport)
+        for frames in fuzz_captures(transport):
+            assert_equivalent(
+                assemble_with_diagnostics(frames, transport),
+                per_frame_assemble(screen(frames, transport), transport),
+            )
+
+    @pytest.mark.parametrize("transport", [TRANSPORT_ISOTP, TRANSPORT_BMW])
+    @pytest.mark.parametrize("size", [9, 113])
+    def test_chunked_matches_per_frame_feed(self, transport, size):
+        # 113 is the chunk size of the service-session tests; 9, just
+        # above MIN_CHUNK_FRAMES, splits every fuzz capture into several
+        # chunks, most of them cutting a multi-frame train.
+        for frames in fuzz_captures(transport):
+            chunked = StreamAssembler(transport)
+            for start in range(0, len(frames), size):
+                chunked.feed_chunk(frames[start : start + size])
+            assert_equivalent(chunked.finish(), per_frame_assemble(frames, transport))
+
+    @pytest.mark.parametrize("transport", [TRANSPORT_ISOTP, TRANSPORT_BMW])
+    def test_hardened_matches_hardened_per_frame_feed(self, transport):
+        for frames in fuzz_captures(transport):
+            assert_equivalent(
+                assemble_with_diagnostics(frames, transport, hardening=DEFAULT_HARDENING),
+                per_frame_assemble(frames, transport, hardening=DEFAULT_HARDENING),
+            )
 
     def test_clean_single_frame_capture(self):
         frames = [
@@ -101,41 +125,35 @@ class TestFuzzEquivalence:
                 segment(b"\x22\xf4\x0d", 0x7E0) + segment(b"\x62\xf4\x0d\x50", 0x7E8)
             )
         ]
-        assert_equivalent(frames, TRANSPORT_ISOTP)
-
-
-class TestDispatch:
-    def test_vwtp_not_vectorised(self):
-        assert bulk_assemble([], TRANSPORT_VWTP) is None
+        assert_equivalent(
+            assemble_with_diagnostics(frames, TRANSPORT_ISOTP),
+            per_frame_assemble(frames, TRANSPORT_ISOTP),
+        )
 
     def test_empty_capture(self):
-        messages, diagnostics = bulk_assemble([], TRANSPORT_ISOTP)
+        messages, diagnostics = assemble_with_diagnostics([], TRANSPORT_ISOTP)
         assert messages == [] and diagnostics.messages == 0
 
-    def test_tracing_takes_the_event_path(self):
+
+class TestOnePath:
+    def test_traced_and_untraced_decode_share_feed_chunk(self, monkeypatch):
         from repro.observability.trace import Tracer, activated
 
-        frames = [f.with_timestamp(0.1) for f in segment(b"\x3e\x00", 0x7E0)]
+        chunks = []
+        original = StreamAssembler.feed_chunk
+
+        def spy(self, frames):
+            chunks.append(len(frames))
+            return original(self, frames)
+
+        monkeypatch.setattr(StreamAssembler, "feed_chunk", spy)
+        frames = fuzz_captures(TRANSPORT_ISOTP, cases=1)[0]
+        untraced = assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
         with activated(Tracer()) as tracer:
-            messages, __ = assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
-        assert len(messages) == 1
+            traced = assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
+        assert_equivalent(traced, untraced)
+        assert chunks == [len(frames), len(frames)]
         assert "decode" in {span.name for span in tracer.spans}
-
-    def test_untraced_dispatch_uses_bulk(self, monkeypatch):
-        from repro.core import assembly
-
-        calls = []
-        original = assembly.bulk_assemble
-
-        def spy(frames, transport):
-            calls.append(transport)
-            return original(frames, transport)
-
-        monkeypatch.setattr(assembly, "bulk_assemble", spy)
-        frames = [f.with_timestamp(0.1) for f in segment(b"\x3e\x00", 0x7E0)]
-        messages, __ = assembly.assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
-        assert len(messages) == 1
-        assert calls == [TRANSPORT_ISOTP]
 
 
 class TestFrameArrays:

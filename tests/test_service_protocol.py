@@ -12,8 +12,10 @@ from repro.cps.collector import Capture, Segment
 from repro.can import CanLog
 from repro.service import MessageDecoder, ProtocolError, capture_to_wire, encode_message
 from repro.service.protocol import (
+    FLAG_EXTENDED,
     FRAME_RECORD,
     MAX_BATCH_FRAMES,
+    arrays_from_batch,
     click_from_wire,
     click_to_wire,
     frame_batch_to_wire,
@@ -232,6 +234,29 @@ class TestFrameBatch:
             frames_from_batch(
                 {"type": "frame-batch", "n": 1, "channels": ["can1"], "_packed": packed}
             )
+
+    @pytest.mark.parametrize(
+        "can_id, flags, accepted",
+        [
+            (0x7FF, 0, True),
+            (0x800, 0, False),
+            (0x7FFFF, 0, False),
+            (0x1FFFFFFF, FLAG_EXTENDED, True),
+            (0x20000000, FLAG_EXTENDED, False),
+            (0xFFFFFFFF, FLAG_EXTENDED, False),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "decode", [frames_from_batch, arrays_from_batch], ids=["frames", "arrays"]
+    )
+    def test_both_decoders_check_the_can_id_range(self, decode, can_id, flags, accepted):
+        packed = FRAME_RECORD.pack(1.0, can_id, flags, 1, b"\x01" + b"\x00" * 7)
+        message = {"type": "frame-batch", "n": 1, "_packed": packed}
+        if accepted:
+            assert len(decode(message)) == 1
+        else:
+            with pytest.raises(ProtocolError, match="out of range"):
+                decode(message)
 
 
 class TestCaptureToWire:
